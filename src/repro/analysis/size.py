@@ -49,8 +49,11 @@ def function_size(func: Function) -> int:
     """Modelled size of a function body (0 for declarations)."""
     if func.is_declaration:
         return 0
+    weight = _WEIGHTS.get
     return _FUNCTION_OVERHEAD + sum(
-        instruction_size(inst) for inst in func.instructions()
+        weight(inst.opcode, _DEFAULT_WEIGHT)
+        for block in func.blocks
+        for inst in block.instructions
     )
 
 

@@ -14,6 +14,8 @@ stage so tests can prove the containment property for every stage:
 * ``align``   — before block alignment;
 * ``codegen`` — before merged-function code generation;
 * ``verify``  — before the IR verifier runs on the merged function;
+  only reached by builds within their size limit (codegen stops an
+  oversized build first, and it never gets verified);
 * ``staticcheck`` — before the merge-safety linter (if enabled);
 * ``validate`` — before the translation validator (if enabled);
 * ``oracle``  — before the differential-execution oracle (if enabled);

@@ -15,6 +15,13 @@ Given two functions and a block-level alignment, emit one merged function:
 
 Dominance violations introduced by sharing are fixed afterwards by
 :mod:`repro.merge.ssa_repair`.
+
+Given a *size limit* — the largest merged size that could still be
+profitable — the build stops as soon as the merged function's modelled
+size exceeds it: once before SSA repair, while the function is not yet
+in the module, and after every repair round.  Repair only adds
+instructions, so a build over the limit at any checkpoint ends over it,
+and stopping it early skips the rest of repair and the verifier.
 """
 
 from __future__ import annotations
@@ -28,6 +35,7 @@ from ..alignment.model import (
     SharedSegment,
     SplitSegment,
 )
+from ..analysis.size import function_size
 from ..ir.basicblock import BasicBlock
 from ..ir.clone import clone_instruction
 from ..ir.function import Function
@@ -78,6 +86,15 @@ class MergeResult:
     num_shared: int = 0
     num_private: int = 0
     repairs: int = 0
+    # True when the build stopped over its size limit; the merged function
+    # was then never completed and is not in the module.
+    aborted: bool = False
+    # Modelled size of the merged function at each size-limit checkpoint.
+    checkpoint_sizes: List[int] = field(default_factory=list)
+
+
+class _OverLimit(Exception):
+    """The merged function outgrew its size limit mid-build."""
 
 
 def _merge_parameters(
@@ -138,8 +155,10 @@ class _Merger:
         module: Module,
         name: Optional[str],
         options: MergeOptions,
+        size_limit: Optional[int],
     ) -> None:
         self.alignment = alignment
+        self.size_limit = size_limit
         self.func_a: Function = alignment.function_a  # type: ignore[assignment]
         self.func_b: Function = alignment.function_b  # type: ignore[assignment]
         self.module = module
@@ -249,20 +268,40 @@ class _Merger:
         self._patch_operands()
         self._patch_phis()
         self._drop_dummies()
-        self.merged.uniquify_names()
-        self.module.add_function(self.merged)
         try:
+            self._check_size()
+            self.merged.uniquify_names()
+            self.module.add_function(self.merged)
             self.result.repairs = repair_ssa(
                 self.merged,
                 legacy_bugs=self.options.legacy_bugs,
                 max_rounds=self.options.max_repair_rounds,
+                after_round=self._check_size,
             )
+        except _OverLimit:
+            self.merged.erase_from_parent()
+            self.result.aborted = True
+            return self.result
         except MergeError:
             self.merged.erase_from_parent()
             raise
+        if self.result.repairs:
+            # Repair names its slots and reloads with the function's name
+            # counter, which knows nothing of names the merged body inherited
+            # from earlier merges (a re-merged function can already hold a
+            # %reload8).
+            self.merged.uniquify_names()
         self.result.param_map_a = self.map_a
         self.result.param_map_b = self.map_b
         return self.result
+
+    def _check_size(self) -> None:
+        if self.size_limit is None:
+            return
+        size = function_size(self.merged)
+        self.result.checkpoint_sizes.append(size)
+        if size > self.size_limit:
+            raise _OverLimit
 
     def _emit_dispatch(self, dispatch: BasicBlock) -> None:
         entry_a = self._entry_of(self.func_a.entry, "a")
@@ -509,11 +548,14 @@ def merge_functions(
     module: Module,
     name: Optional[str] = None,
     options: MergeOptions = MergeOptions(),
+    size_limit: Optional[int] = None,
 ) -> MergeResult:
     """Merge the aligned pair into one new function added to *module*.
 
     Raises :class:`MergeError` when the pair cannot be merged (diverging
     return types, irreparable SSA, ...); the module is left unmodified in
-    that case.
+    that case.  With a *size_limit*, a build whose modelled size exceeds it
+    stops early and returns a result with ``aborted`` set; the module is
+    left unmodified then too.
     """
-    return _Merger(alignment, module, name, options).build()
+    return _Merger(alignment, module, name, options, size_limit).build()

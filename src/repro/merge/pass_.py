@@ -44,7 +44,7 @@ from .errors import MergeError
 from .merger import MergeOptions, MergeResult, merge_functions
 from .profitability import ProfitabilityBound, ProfitabilityModel
 from .report import AttemptRecord, MergeReport, Outcome
-from .thunks import commit_merge
+from .thunks import commit_merge, thunk_plan
 from .transaction import MergeTransaction
 
 __all__ = ["PassConfig", "FunctionMergingPass"]
@@ -258,6 +258,9 @@ class FunctionMergingPass:
         metrics.absorb_counts("merge.outcome", report.outcome_counts())
         metrics.counter("merge.attempts").inc(len(report.attempts))
         metrics.counter("merge.merges").inc(report.merges)
+        metrics.counter("merge.codegen_aborted").inc(
+            sum(att.codegen_aborted for att in report.attempts)
+        )
         metrics.gauge("merge.size_before").set(report.size_before)
         metrics.gauge("merge.size_after").set(report.size_after)
         metrics.histogram("merge.preprocess_s").observe(report.preprocess_time)
@@ -439,23 +442,34 @@ class FunctionMergingPass:
             return record, None
 
         ctx.stage = "codegen"
-        with trace.span("codegen"):
+        with trace.span("codegen") as sp:
             t0 = time.perf_counter()
             try:
                 if self.faults is not None:
                     self.faults.hit("codegen")
+                # Codegen stops as soon as the merged function outgrows
+                # what could still pay; such a build never enters the
+                # module, so nothing needs verifying or rolling back.
                 result: MergeResult = merge_functions(
                     alignment,
                     module,
                     options=MergeOptions(legacy_bugs=self.config.legacy_bugs),
+                    size_limit=self.profitability.size_limit(func, other),
                 )
-                ctx.stage = "verify"
-                if self.config.verify:
-                    if self.faults is not None:
-                        self.faults.hit("verify")
-                    verify_function(result.merged)
+                if result.aborted:
+                    sp.set(aborted=True)
+                else:
+                    ctx.stage = "verify"
+                    if self.config.verify:
+                        if self.faults is not None:
+                            self.faults.hit("verify")
+                        verify_function(result.merged)
             finally:
                 record.codegen_time = time.perf_counter() - t0
+        if result.aborted:
+            record.codegen_aborted = True
+            record.outcome = Outcome.UNPROFITABLE
+            return record, None
 
         benefit = self.profitability.evaluate(result)
         if not benefit.profitable:
@@ -533,9 +547,10 @@ class FunctionMergingPass:
         ctx.stage = "commit"
         with trace.span("commit"):
             t0 = time.perf_counter()
+            thunks = thunk_plan(result)
             txn.capture_commit_set(result.function_a, result.function_b)
             touched = txn.captured_functions()
-            commit_merge(result, faults=self.faults)
+            commit_merge(result, faults=self.faults, thunks=thunks)
             if self.config.static_check:
                 # Re-lint the *applied* commit (thunk shape, call-site
                 # rewrites, dangling references) while the transaction can

@@ -55,6 +55,23 @@ class ProfitabilityModel:
             cost += self.thunk_base + len(func.args)  # arg forwarding
         return cost
 
+    def size_limit(self, func_a: Function, func_b: Function) -> int:
+        """The largest merged-function size that can still be profitable.
+
+        Computed before codegen from the current caller sets.  Building the
+        merged function can only add callers (its recursive call sites) and
+        address-taking uses, never remove them, so the redirection cost
+        :meth:`evaluate` charges later is at least the one charged here: a
+        merged function larger than this limit is never profitable.
+        """
+        return (
+            function_size(func_a)
+            + function_size(func_b)
+            - self._redirection_cost(func_a)
+            - self._redirection_cost(func_b)
+            - 1
+        )
+
     def evaluate(self, result: MergeResult) -> MergeBenefit:
         original = function_size(result.function_a) + function_size(result.function_b)
         merged = function_size(result.merged)

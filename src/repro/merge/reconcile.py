@@ -75,7 +75,7 @@ class RetainingTransaction(MergeTransaction):
 
     ``commit()`` closes the transaction like the base class but moves the
     captured backups (and the baseline function-table order) into
-    :attr:`retained` instead of discarding them, so the reconciliation
+    :attr:`retained` instead of freeing them, so the reconciliation
     pass can undo the committed merge later.  ``rollback()`` is
     inherited unchanged — a failed attempt leaves nothing retained.
     """
@@ -85,10 +85,10 @@ class RetainingTransaction(MergeTransaction):
         self.retained: Optional[Dict[int, _FunctionBackup]] = None
         self.retained_order: Optional[List[str]] = None
 
-    def commit(self) -> None:
+    def _release_backups(self) -> None:
         self.retained = dict(self._backups)
         self.retained_order = list(self._baseline_order)
-        super().commit()
+        self._backups.clear()
 
 
 @dataclass

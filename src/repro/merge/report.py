@@ -101,6 +101,9 @@ class AttemptRecord:
     validate_time: float = 0.0
     oracle_time: float = 0.0
     update_time: float = 0.0
+    # True when codegen stopped the build over its size limit (the
+    # attempt's outcome is then ``unprofitable``).
+    codegen_aborted: bool = False
     # Translation-validator verdict ("proved" | "refuted" | "unknown")
     # when the validate stage ran; None when it was off.
     validate_verdict: Optional[str] = None

@@ -25,7 +25,7 @@ here behind ``legacy_bugs=True``:
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..analysis.dominators import DominatorTree
 from ..ir.basicblock import BasicBlock
@@ -149,11 +149,22 @@ def _demote_to_stack(func: Function, value: Instruction, legacy_bugs: bool) -> N
             user.set_operand(idx, load)
 
 
-def repair_ssa(func: Function, legacy_bugs: bool = False, max_rounds: int = 16) -> int:
+def repair_ssa(
+    func: Function,
+    legacy_bugs: bool = False,
+    max_rounds: int = 16,
+    after_round: Optional[Callable[[], None]] = None,
+) -> int:
     """Fix all dominance violations in *func* by stack demotion.
 
     Returns the number of values demoted.  Raises :class:`MergeError` if the
     violations do not converge (which would indicate a merger bug).
+
+    *after_round* is called after every round that demoted something; an
+    exception it raises stops the repair.  Repair only ever adds
+    instructions (slots, stores, reloads, edge-split branches), so the
+    merger uses this hook to stop a build that has already outgrown its
+    size limit.
     """
     demoted = 0
     for _round in range(max_rounds):
@@ -165,4 +176,6 @@ def repair_ssa(func: Function, legacy_bugs: bool = False, max_rounds: int = 16) 
         ):
             _demote_to_stack(func, value, legacy_bugs)
             demoted += 1
+        if after_round is not None:
+            after_round()
     raise MergeError(f"SSA repair did not converge after {max_rounds} rounds")

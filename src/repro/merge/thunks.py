@@ -9,18 +9,24 @@ everything else is deleted outright.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 from ..faults import FaultInjector
 from ..ir.basicblock import BasicBlock
 from ..ir.function import Function
-from ..ir.instructions import Branch, Call, Instruction, Invoke, Ret
+from ..ir.instructions import Call, Instruction, Invoke, Opcode, Ret
 from ..ir.types import I1
 from ..ir.values import ConstantInt, UndefValue, Value
 from .errors import CommitError
 from .merger import MergeResult
 
-__all__ = ["commit_merge", "rewrite_call_sites", "make_thunk", "thunk_target"]
+__all__ = [
+    "commit_merge",
+    "rewrite_call_sites",
+    "make_thunk",
+    "thunk_plan",
+    "thunk_target",
+]
 
 
 def thunk_target(func: Function) -> Optional[Call]:
@@ -98,8 +104,46 @@ def make_thunk(original: Function, merged: Function, param_map: List[int], fid: 
     entry.append(Ret(None if original.return_type.is_void else call))
 
 
-def commit_merge(result: MergeResult, faults: Optional[FaultInjector] = None) -> None:
+def _address_taken_outside(func: Function, discarded: Function) -> bool:
+    """``func.address_taken``, ignoring uses inside *discarded*'s body."""
+    for user, idx in func.uses():
+        if not isinstance(user, Instruction):
+            return True
+        if user.opcode in (Opcode.CALL, Opcode.INVOKE) and idx == 0:
+            continue
+        block = user.parent
+        if block is not None and block.parent is discarded:
+            continue
+        return True
+    return False
+
+
+def thunk_plan(result: MergeResult) -> Tuple[bool, bool]:
+    """Which originals the commit keeps as thunks: ``(keep_a, keep_b)``.
+
+    An original stays as a thunk when it is externally visible or its
+    address is taken.  The commit handles ``function_a`` first, so the
+    decision for ``function_b`` ignores uses inside ``function_a``'s body,
+    which is gone by then.  Read from the live bodies, so take the plan
+    before :meth:`~repro.merge.transaction.MergeTransaction.capture_commit_set`
+    moves the originals' bodies out.
+    """
+    func_a, func_b = result.function_a, result.function_b
+    return (
+        not func_a.internal or func_a.address_taken,
+        not func_b.internal or _address_taken_outside(func_b, func_a),
+    )
+
+
+def commit_merge(
+    result: MergeResult,
+    faults: Optional[FaultInjector] = None,
+    thunks: Optional[Tuple[bool, bool]] = None,
+) -> None:
     """Apply a profitable merge to the module: redirect, thunk or delete.
+
+    *thunks* is the :func:`thunk_plan` taken before the originals' bodies
+    were captured; without one the plan is read from the live module.
 
     Not atomic on its own — a failure part-way (including one injected via
     *faults*, which fires between the two originals so the module is
@@ -111,16 +155,18 @@ def commit_merge(result: MergeResult, faults: Optional[FaultInjector] = None) ->
     module = merged.parent
     if module is None:
         raise CommitError("merged function must be in a module")
-    for index, (func, param_map, fid) in enumerate(
+    if thunks is None:
+        thunks = thunk_plan(result)
+    for index, (func, param_map, fid, keep) in enumerate(
         (
-            (result.function_a, result.param_map_a, 0),
-            (result.function_b, result.param_map_b, 1),
+            (result.function_a, result.param_map_a, 0, thunks[0]),
+            (result.function_b, result.param_map_b, 1, thunks[1]),
         )
     ):
         if index == 1 and faults is not None:
             faults.hit("commit")
         rewrite_call_sites(func, merged, param_map, fid)
-        if func.address_taken or not func.internal:
+        if keep:
             make_thunk(func, merged, param_map, fid)
         else:
             if func.num_uses != 0:

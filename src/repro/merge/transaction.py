@@ -8,19 +8,28 @@ fault) would otherwise leave the module half-rewritten.  A
 
 * at construction it records the module's function table (names, order);
 * :meth:`capture` snapshots the bodies of functions about to be mutated
-  (the two originals plus every function containing a call site of
-  either) as *detached* clones whose operand uses are unregistered, so
-  the snapshot is invisible to use-count queries on the live module;
+  as *detached* clones whose operand uses are unregistered, so the
+  snapshot is invisible to use-count queries on the live module;
+* :meth:`capture_commit_set` snapshots what a commit mutates: every
+  function containing a call site of either original is cloned, and the
+  two originals' bodies are *moved* into their snapshots instead — the
+  commit thunks or erases those bodies anyway, so cloning them would be
+  wasted work.  The originals are declarations afterwards, so the
+  thunk-or-erase decision (:func:`~repro.merge.thunks.thunk_plan`) must
+  be taken before the capture;
 * :meth:`rollback` restores captured bodies onto the *same* function
   objects (identity is preserved — rankers and worklists keep working),
   re-adds any function the commit deleted, erases any function the
   attempt created, and restores the original function-table order so the
   module prints bit-identically to its pre-attempt snapshot;
-* :meth:`commit` discards the snapshots.
+* :meth:`commit` discards the snapshots, breaking their block and
+  instruction reference cycles so they are freed at once rather than at
+  the next cyclic garbage collection.
 
 The snapshot cost is proportional to the functions actually touched by
 the attempt, not to the module, so the common failure paths (rejected
-threshold, failed alignment) pay nothing.
+threshold, failed alignment, a codegen stopped over its size limit) pay
+nothing.
 """
 
 from __future__ import annotations
@@ -38,7 +47,8 @@ __all__ = ["MergeTransaction"]
 
 @dataclass
 class _FunctionBackup:
-    """Detached body clone plus the mutable attributes of one function."""
+    """Detached body (a clone, or the moved original) plus the mutable
+    attributes of one function."""
 
     function: Function
     body: Function
@@ -59,6 +69,25 @@ def _unlink_uses(func: Function) -> None:
         for inst in block.instructions:
             for idx, op in enumerate(inst._operands):
                 op._remove_use(inst, idx)
+
+
+def _move_body(func: Function, backup: Function) -> None:
+    """Move *func*'s blocks into the empty *backup*, leaving *func* a
+    declaration and *backup* exactly what a clone plus
+    :func:`_unlink_uses` would give: operands that named *func*'s
+    arguments name *backup*'s, and no operand use is registered."""
+    args = {id(src): dst for src, dst in zip(func.args, backup.args)}
+    for block in func.blocks:
+        block.parent = backup
+        for inst in block.instructions:
+            operands = inst._operands
+            for idx, op in enumerate(operands):
+                op._remove_use(inst, idx)
+                arg = args.get(id(op))
+                if arg is not None:
+                    operands[idx] = arg
+    backup.blocks = func.blocks
+    func.blocks = []
 
 
 class MergeTransaction:
@@ -88,6 +117,25 @@ class MergeTransaction:
 
     def capture(self, *functions: Function) -> None:
         """Snapshot *functions* (idempotent per function)."""
+        self._capture(functions, move=False)
+
+    def capture_commit_set(self, *originals: Function) -> None:
+        """Snapshot *originals* plus every function calling into them.
+
+        The originals' bodies are moved into the snapshot, not cloned:
+        they are declarations when this returns.
+        """
+        callers = []
+        for func in originals:
+            for site in func.callers():
+                block = site.parent
+                caller = block.parent if block is not None else None
+                if caller is not None:
+                    callers.append(caller)
+        self._capture(originals, move=True)
+        self._capture(callers, move=False)
+
+    def _capture(self, functions, move: bool) -> None:
         if self._closed:
             raise RuntimeError("transaction already closed")
         for func in functions:
@@ -96,29 +144,31 @@ class MergeTransaction:
             backup = Function(func.ftype, func.name)
             for src, dst in zip(func.args, backup.args):
                 dst.name = src.name
-            clone_function_into(func, backup)
-            _unlink_uses(backup)
+            if move:
+                _move_body(func, backup)
+            else:
+                clone_function_into(func, backup)
+                _unlink_uses(backup)
             self._backups[id(func)] = _FunctionBackup(
                 func, backup, func.internal, func.name, func._name_counter
             )
-
-    def capture_commit_set(self, *originals: Function) -> None:
-        """Snapshot *originals* plus every function calling into them."""
-        affected = list(originals)
-        for func in originals:
-            for site in func.callers():
-                block = site.parent
-                caller = block.parent if block is not None else None
-                if caller is not None:
-                    affected.append(caller)
-        self.capture(*affected)
 
     # -- resolution --------------------------------------------------------------
     def commit(self) -> None:
         """Keep the mutations; drop the snapshots."""
         trace.event("txn_commit", captured=len(self._backups))
-        self._backups.clear()
+        self._release_backups()
         self._closed = True
+
+    def _release_backups(self) -> None:
+        """Free the snapshots of a committed attempt.
+
+        A snapshot's blocks and instructions point at each other; dropping
+        the body breaks those cycles, so the memory returns at once.
+        """
+        for backup in self._backups.values():
+            backup.body.drop_body()
+        self._backups.clear()
 
     def rollback(self) -> None:
         """Restore the module to its state at transaction start.

@@ -19,7 +19,9 @@ from repro.ir import (
     Phi,
     Store,
     parse_module,
+    print_module,
     verify_function,
+    verify_module,
 )
 from repro.merge import MergeError, find_dominance_violations, repair_ssa
 from repro.merge.ssa_repair import _demote_to_stack
@@ -251,3 +253,54 @@ join:
         for x in (0, 9, 10, 50):
             assert interp.run(result.merged, [0, x]).value == interp.run(f1, [x]).value
             assert interp.run(result.merged, [1, x]).value == interp.run(f2, [x]).value
+
+    def test_repair_names_never_clash_with_inherited_names(self):
+        """A re-merged function inherits ``%reloadN`` names from the merge
+        that built it; the names repair hands out next must not redefine
+        them, or the printed module stops parsing."""
+        text = """
+define i32 @f1(i32 %x) {
+entry:
+  %reload1 = add i32 %x, 1
+  %reload2 = icmp sgt i32 %reload1, 10
+  br i1 %reload2, label %big, label %small
+big:
+  %reload3 = mul i32 %reload1, 3
+  br label %join
+small:
+  %reload4 = sub i32 %reload1, 4
+  br label %join
+join:
+  %p = phi i32 [ %reload3, %big ], [ %reload4, %small ]
+  %reload5 = xor i32 %p, %reload1
+  ret i32 %reload5
+}
+define i32 @f2(i32 %x) {
+entry:
+  %a = add i32 %x, 1
+  %c = icmp sgt i32 %a, 10
+  br i1 %c, label %big, label %small
+big:
+  %b1 = mul i32 %a, 3
+  %b2 = add i32 %b1, 100
+  br label %join
+small:
+  %s1 = sub i32 %a, 4
+  br label %join
+join:
+  %p = phi i32 [ %b2, %big ], [ %s1, %small ]
+  %z = xor i32 %p, %a
+  ret i32 %z
+}
+"""
+        from repro.alignment import align_functions
+        from repro.merge import merge_functions
+
+        module = parse_module(text)
+        f1, f2 = module.get_function("f1"), module.get_function("f2")
+        result = merge_functions(align_functions(f1, f2), module)
+        assert result.repairs > 0
+        printed = print_module(module)
+        reparsed = parse_module(printed)
+        verify_module(reparsed)
+        assert print_module(reparsed) == printed
