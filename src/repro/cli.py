@@ -26,9 +26,9 @@ from .harness.experiments import make_ranker
 from .harness.table import format_outcome_table, format_table
 from .ir.interp import Interpreter
 from .ir.module import Module
-from .ir.parser import parse_module
+from .ir.parser import ParseError, parse_module
 from .ir.printer import print_module
-from .ir.verifier import verify_module
+from .ir.verifier import VerificationError, verify_module
 from .merge.pass_ import FunctionMergingPass, PassConfig
 from .merge.identical import merge_identical_functions
 from .obs import trace as obs_trace
@@ -50,10 +50,27 @@ from .workloads.suites import build_workload
 __all__ = ["main", "lint_main"]
 
 
-def _load(path: str) -> Module:
+class _BadInput(Exception):
+    """An input module that does not parse or verify; exit code 2."""
+
+
+def _load(path: str, verify: bool = True) -> Module:
+    """Read, parse and (optionally) verify the module at *path*.
+
+    Bad input raises :class:`_BadInput` carrying ``PATH:LINE: message`` for a
+    parse error or one ``PATH: diagnostic`` line per verifier finding.
+    """
     with open(path, "r", encoding="utf-8") as handle:
-        module = parse_module(handle.read(), name=path)
-    verify_module(module)
+        text = handle.read()
+    try:
+        module = parse_module(text, name=path)
+    except ParseError as exc:
+        raise _BadInput(f"{path}:{exc.line}: {exc.message}") from None
+    if verify:
+        try:
+            verify_module(module)
+        except VerificationError as exc:
+            raise _BadInput("\n".join(f"{path}: {d}" for d in exc.diagnostics)) from None
     return module
 
 
@@ -285,8 +302,7 @@ def _cmd_lint(args: argparse.Namespace) -> int:
         return 2
     # Parse without verifying: the linter is the judge here, and it must be
     # able to report on modules the verifier would reject.
-    with open(args.module, "r", encoding="utf-8") as handle:
-        module = parse_module(handle.read(), name=args.module)
+    module = _load(args.module, verify=False)
     checkers = args.checkers.split(",") if args.checkers else None
     if checkers is not None:
         # Unknown checker names are a hard usage error, not a silent no-op:
@@ -561,9 +577,7 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
 
     # --check: replay one minimized reproducer file (the .cmd contents).
     if args.check:
-        with open(args.check, "r", encoding="utf-8") as handle:
-            module = parse_module(handle.read(), name=args.check)
-        verify_module(module)
+        module = _load(args.check)
         if not args.pair:
             print("error: --check requires --pair A,B", file=sys.stderr)
             return 2
@@ -1156,7 +1170,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except _BadInput as exc:
+        print(exc, file=sys.stderr)
+        return 2
 
 
 def lint_main(argv: Optional[List[str]] = None) -> int:

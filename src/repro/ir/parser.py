@@ -1,14 +1,28 @@
 """Parser for the textual repro IR (the format produced by the printer).
 
-The grammar is a compact LLVM dialect — see :mod:`repro.ir.printer`.  The
-parser exists so tests and examples can state IR literally, and so the
-printer/parser round-trip can be property-tested.
+The grammar is a compact LLVM dialect — see :mod:`repro.ir.printer`.  Every
+``repro merge``/``lint``/``stats``/``run`` and every ``repro serve`` request
+carrying module text goes through :func:`parse_module`.
+
+One scan: a single ``findall`` of a group-free pattern cuts the text into
+token strings, walked with an integer cursor.  A token's kind is decided
+where it is used, from its first character.  Lines are not tracked: a
+:class:`ParseError` re-scans the text to find its line.  Function headers
+are read from the same tokens first, so calls may name later functions.
+
+Error contract: malformed text raises :class:`ParseError` and nothing else,
+at the line of the token under the cursor when the problem is found (for
+most errors, the token after the offending one).  What an IR constructor
+rejects with ``TypeError``/``ValueError`` (``i0``, a ``load`` from a
+non-pointer) is re-raised as a ``ParseError``.
 """
 
 from __future__ import annotations
 
+import gc
 import re
-from typing import Dict, List, Optional, Tuple
+from itertools import islice
+from typing import Callable, Dict, List, Optional, Tuple, TypeVar
 
 from .basicblock import BasicBlock
 from .function import Function
@@ -23,9 +37,9 @@ from .instructions import (
     GetElementPtr,
     ICmp,
     ICmpPred,
+    Instruction,
     Invoke,
     Load,
-    Opcode,
     Phi,
     Ret,
     Select,
@@ -48,474 +62,459 @@ from .types import (
     Type,
     VOID,
 )
-from .values import (
-    Argument,
-    ConstantFloat,
-    ConstantInt,
-    ConstantNull,
-    UndefValue,
-    Value,
-)
+from .values import ConstantFloat, ConstantInt, ConstantNull, UndefValue, Value
 
 __all__ = ["ParseError", "parse_module", "parse_function"]
 
+T = TypeVar("T")
+
 
 class ParseError(Exception):
+    """Malformed IR text: ``message`` found at 1-based ``line``."""
+
     def __init__(self, message: str, line: int) -> None:
         super().__init__(f"line {line}: {message}")
+        self.message = message
         self.line = line
 
 
+# Locals, globals, floats, integers, words, then any other single character
+# (punctuation, or a character no token may start with).  Whitespace is
+# skipped by ``findall``; comments are removed before the scan.
 _TOKEN_RE = re.compile(
-    r"""
-    (?P<ws>\s+)
-  | (?P<comment>;[^\n]*)
-  | (?P<local>%[A-Za-z0-9_.\-]+)
-  | (?P<global>@[A-Za-z0-9_.\-$]+)
-  | (?P<float>-?\d+\.\d+(e[-+]?\d+)?|-?inf|nan)
-  | (?P<int>-?\d+)
-  | (?P<word>[A-Za-z_][A-Za-z0-9_.\-]*)
-  | (?P<punct>\*|[(){}\[\],:=])
-    """,
-    re.VERBOSE,
+    r"%[A-Za-z0-9_.\-]+|@[A-Za-z0-9_.\-$]+|-?\d+\.\d+(?:e[-+]?\d+)?|-?inf|nan"
+    r"|-?\d+|[A-Za-z_][A-Za-z0-9_.\-]*|\S"
 )
+_COMMENT_RE = re.compile(r";[^\n]*")
+# The single-character tokens that are real tokens rather than stray input.
+_SINGLE_CHAR_RE = re.compile(r"[A-Za-z_*(){}\[\],:=]|\d")
 
-_BINARY_WORDS = {op.name.lower(): op for op in BINARY_OPCODES}
-_CAST_WORDS = {op.name.lower(): op for op in CAST_OPCODES}
+_SIMPLE_TYPES: Dict[str, Type] = {"void": VOID, "label": LABEL, "float": FLOAT, "double": DOUBLE}
 _ICMP_PREDS = {p.name.lower(): p for p in ICmpPred}
 _FCMP_PREDS = {p.name.lower(): p for p in FCmpPred}
+_CAST_WORDS = {op.name.lower(): op for op in CAST_OPCODES}
+_BINARY_WORDS = {op.name.lower(): op for op in BINARY_OPCODES}
 
 
-class _Tokens:
-    def __init__(self, text: str) -> None:
-        self.tokens: List[Tuple[str, str, int]] = []
-        line = 1
-        pos = 0
-        while pos < len(text):
-            m = _TOKEN_RE.match(text, pos)
-            if m is None:
-                raise ParseError(f"unexpected character {text[pos]!r}", line)
-            kind = m.lastgroup or ""
-            value = m.group(0)
-            if kind not in ("ws", "comment"):
-                self.tokens.append((kind, value, line))
-            line += value.count("\n")
-            pos = m.end()
-        self.index = 0
-
-    @property
-    def line(self) -> int:
-        if self.index < len(self.tokens):
-            return self.tokens[self.index][2]
-        return self.tokens[-1][2] if self.tokens else 1
-
-    def peek(self) -> Optional[Tuple[str, str]]:
-        if self.index < len(self.tokens):
-            kind, value, _ = self.tokens[self.index]
-            return kind, value
-        return None
-
-    def next(self) -> Tuple[str, str]:
-        tok = self.peek()
-        if tok is None:
-            raise ParseError("unexpected end of input", self.line)
-        self.index += 1
-        return tok
-
-    def expect(self, value: str) -> str:
-        kind, got = self.next()
-        if got != value:
-            raise ParseError(f"expected {value!r}, got {got!r}", self.line)
-        return got
-
-    def accept(self, value: str) -> bool:
-        tok = self.peek()
-        if tok is not None and tok[1] == value:
-            self.index += 1
-            return True
-        return False
+def _kind(tok: str) -> str:
+    """``local``, ``global``, ``float``, ``int``, ``word`` or ``punct``."""
+    c = tok[0]
+    if c == "%":
+        return "local"
+    if c == "@":
+        return "global"
+    if c == "-" or c.isdecimal() or tok == "inf" or tok == "nan":
+        return "float" if "." in tok or tok.endswith("inf") or tok == "nan" else "int"
+    return "word" if c == "_" or (c.isascii() and c.isalpha()) else "punct"
 
 
-def _parse_type(toks: _Tokens) -> Type:
-    kind, value = toks.next()
-    base: Type
-    if value == "void":
-        base = VOID
-    elif value == "label":
-        base = LABEL
-    elif value == "float":
-        base = FLOAT
-    elif value == "double":
-        base = DOUBLE
-    elif kind == "word" and re.fullmatch(r"i\d+", value):
-        base = IntType(int(value[1:]))
-    elif value == "[":
-        _, count = toks.next()
-        toks.expect("x")
-        elem = _parse_type(toks)
-        toks.expect("]")
-        base = ArrayType(elem, int(count))
-    elif value == "{":
-        fields = []
-        if not toks.accept("}"):
-            fields.append(_parse_type(toks))
-            while toks.accept(","):
-                fields.append(_parse_type(toks))
-            toks.expect("}")
-        base = StructType(fields)
-    else:
-        raise ParseError(f"expected a type, got {value!r}", toks.line)
-    # Suffixes: "(params)" builds a function type, "*" a pointer.  This is
-    # unambiguous because every call-like construct puts the callee token
-    # between the return type and its argument parenthesis, so a "(" right
-    # after a type can only be a function-type parameter list (the operand
-    # spelling of address-taken functions: ``i32 (i32)* @callee``).
-    while True:
-        if toks.accept("("):
-            params = []
-            if not toks.accept(")"):
-                params.append(_parse_type(toks))
-                while toks.accept(","):
-                    params.append(_parse_type(toks))
-                toks.expect(")")
-            base = FunctionType(base, params)
-        elif toks.accept("*"):
-            base = PointerType(base)
-        else:
-            return base
+class _Parser:
+    """Cursor over one module's token list; parses into ``module``."""
 
-
-class _FunctionParser:
-    """Parses one function body with deferred (two-phase) name resolution."""
-
-    def __init__(self, module: Module, toks: _Tokens) -> None:
+    def __init__(self, text: str, module: Module) -> None:
+        if ";" in text:
+            text = _COMMENT_RE.sub("", text)  # keeps every newline
+        self.text = text
+        self.toks: List[str] = _TOKEN_RE.findall(text)
+        self.toks.append("")  # end-of-input sentinel: matches no expected token
+        self.i = 0
         self.module = module
-        self.toks = toks
+        # Simple types by spelling; ``iN`` spellings are added on first use.
+        self.types = dict(_SIMPLE_TYPES)
+        # Per-function name tables (reset by ``body``).
         self.locals: Dict[str, Value] = {}
         self.placeholders: Dict[str, Value] = {}
         self.block_placeholders: Dict[str, BasicBlock] = {}
-        self.func: Optional[Function] = None
 
-    # -- name resolution ----------------------------------------------------------
-    def _local(self, name: str, type_: Type) -> Value:
-        existing = self.locals.get(name)
-        if existing is not None:
-            return existing
-        ph = self.placeholders.get(name)
-        if ph is None:
-            ph = Value(type_, name)
-            self.placeholders[name] = ph
-        return ph
+    # -- cursor -------------------------------------------------------------------
+    def error(self, message: str, index: Optional[int] = None) -> ParseError:
+        """A ParseError at token *index* (default: the cursor)."""
+        index = min(self.i if index is None else index, len(self.toks) - 2)
+        match = next(islice(_TOKEN_RE.finditer(self.text), max(index, 0), None), None)
+        start = match.start() if match else 0
+        return ParseError(message, self.text.count("\n", 0, start) + 1)
 
-    def _block_ref(self, label: str) -> BasicBlock:
+    def next(self) -> str:
+        tok = self.toks[self.i]
+        if not tok:
+            raise self.error("unexpected end of input")
+        self.i += 1
+        return tok
+
+    def expect(self, value: str) -> None:
+        if self.toks[self.i] != value:
+            got = self.next()
+            raise self.error(f"expected {value!r}, got {got!r}")
+        self.i += 1
+
+    def accept(self, value: str) -> bool:
+        if self.toks[self.i] == value:
+            self.i += 1
+            return True
+        return False
+
+    # -- types --------------------------------------------------------------------
+    def type(self) -> Type:
+        tok = self.next()
+        base = self.types.get(tok)
+        if base is None:
+            if tok[0] == "i" and tok[1:].isdigit():
+                base = self.types[tok] = IntType(int(tok[1:]))
+            elif tok == "[":
+                count = self.next()
+                if _kind(count) != "int":
+                    raise self.error(f"expected an array length, got {count!r}")
+                self.expect("x")
+                elem = self.type()
+                self.expect("]")
+                base = ArrayType(elem, int(count))
+            elif tok == "{":
+                base = StructType(self.items(self.type, "}"))
+            else:
+                raise self.error(f"expected a type, got {tok!r}")
+        # Suffixes: "(params)" builds a function type, "*" a pointer.  This is
+        # unambiguous because every call-like construct puts the callee token
+        # between the return type and its argument parenthesis, so a "(" right
+        # after a type can only be a function-type parameter list (the operand
+        # spelling of address-taken functions: ``i32 (i32)* @callee``).
+        toks = self.toks
+        while True:
+            tok = toks[self.i]
+            if tok == "*":
+                self.i += 1
+                base = PointerType(base)
+            elif tok == "(":
+                self.i += 1
+                base = FunctionType(base, self.items(self.type, ")"))
+            else:
+                return base
+
+    def items(self, parse: Callable[[], T], close: str) -> List[T]:
+        """Comma-separated ``parse()`` results up to and including *close*."""
+        out: List[T] = []
+        if not self.accept(close):
+            out.append(parse())
+            while self.accept(","):
+                out.append(parse())
+            self.expect(close)
+        return out
+
+    # -- names --------------------------------------------------------------------
+    def define(self, name: str, value: Value) -> None:
+        if name in self.locals:
+            raise self.error(f"redefinition of %{name}")
+        self.locals[name] = value
+
+    def block_ref(self, label: str) -> BasicBlock:
         existing = self.locals.get(label)
         if isinstance(existing, BasicBlock):
             return existing
         ph = self.block_placeholders.get(label)
         if ph is None:
-            ph = BasicBlock(label)
-            self.block_placeholders[label] = ph
+            ph = self.block_placeholders[label] = BasicBlock(label)
         return ph
 
-    def _define(self, name: str, value: Value) -> None:
-        if name in self.locals:
-            raise ParseError(f"redefinition of %{name}", self.toks.line)
-        self.locals[name] = value
+    def resolve(self) -> None:
+        """Replace the body's forward references by their definitions."""
+        for table, want, what in (
+            (self.placeholders, Value, "value"),
+            (self.block_placeholders, BasicBlock, "label"),
+        ):
+            for name, ph in table.items():
+                real = self.locals.get(name)
+                if not isinstance(real, want):
+                    raise self.error(f"use of undefined {what} %{name}")
+                ph.replace_all_uses_with(real)
 
-    def _resolve(self) -> None:
-        for name, ph in self.placeholders.items():
-            real = self.locals.get(name)
-            if real is None:
-                raise ParseError(f"use of undefined value %{name}", self.toks.line)
-            ph.replace_all_uses_with(real)
-        for label, ph in self.block_placeholders.items():
-            real = self.locals.get(label)
-            if not isinstance(real, BasicBlock):
-                raise ParseError(f"use of undefined label %{label}", self.toks.line)
-            ph.replace_all_uses_with(real)
-
-    # -- operands -------------------------------------------------------------------
-    def _value(self, type_: Type) -> Value:
-        kind, tok = self.toks.next()
-        if kind == "local":
-            return self._local(tok[1:], type_)
+    # -- operands -----------------------------------------------------------------
+    def value(self, type_: Type) -> Value:
+        tok = self.next()
+        if tok[0] == "%":
+            name = tok[1:]
+            found = self.locals.get(name)
+            if found is None:
+                found = self.placeholders.get(name)
+                if found is None:
+                    found = self.placeholders[name] = Value(type_, name)
+            return found
+        kind = _kind(tok)
         if kind == "global":
             func = self.module.get_function(tok[1:])
             if func is None:
-                raise ParseError(f"unknown function {tok}", self.toks.line)
+                raise self.error(f"unknown function {tok}")
             return func
-        if kind == "int":
-            if type_.is_float:
-                return ConstantFloat(type_, float(tok))  # type: ignore[arg-type]
-            if not type_.is_int:
-                raise ParseError(f"integer literal for type {type_}", self.toks.line)
-            return ConstantInt(type_, int(tok))  # type: ignore[arg-type]
-        if kind == "float":
+        if kind == "float" or (kind == "int" and type_.is_float):
             return ConstantFloat(type_, float(tok))  # type: ignore[arg-type]
+        if kind == "int":
+            if not type_.is_int:
+                raise self.error(f"integer literal for type {type_}")
+            return ConstantInt(type_, int(tok))  # type: ignore[arg-type]
         if tok == "null":
             return ConstantNull(type_)  # type: ignore[arg-type]
         if tok == "undef":
             return UndefValue(type_)
-        raise ParseError(f"expected a value, got {tok!r}", self.toks.line)
+        raise self.error(f"expected a value, got {tok!r}")
 
-    def _typed_value(self) -> Value:
-        return self._value(_parse_type(self.toks))
+    def typed_value(self) -> Value:
+        return self.value(self.type())
 
-    def _label(self) -> BasicBlock:
-        self.toks.expect("label")
-        kind, tok = self.toks.next()
-        if kind != "local":
-            raise ParseError(f"expected a label, got {tok!r}", self.toks.line)
-        return self._block_ref(tok[1:])
+    def label(self) -> BasicBlock:
+        self.expect("label")
+        tok = self.next()
+        if tok[0] != "%":
+            raise self.error(f"expected a label, got {tok!r}")
+        return self.block_ref(tok[1:])
 
-    # -- instructions ------------------------------------------------------------------
-    def _parse_instruction(self, block: BasicBlock) -> None:  # noqa: C901
-        toks = self.toks
-        kind, tok = toks.next()
-        result_name: Optional[str] = None
-        if kind == "local":
-            result_name = tok[1:]
-            toks.expect("=")
-            kind, tok = toks.next()
-        op = tok
+    def operand_pair(self) -> Tuple[Value, Value]:
+        """``<ty> a, b``: two operands of one type."""
+        ty = self.type()
+        a = self.value(ty)
+        self.expect(",")
+        return a, self.value(ty)
 
-        inst = None
-        if op == "ret":
-            if toks.accept("void"):
-                inst = Ret(None)
-            else:
-                inst = Ret(self._typed_value())
-        elif op == "br":
-            if toks.peek() and toks.peek()[1] == "label":
-                inst = Branch(self._label())
-            else:
-                cond_ty = _parse_type(toks)
-                cond = self._value(cond_ty)
-                toks.expect(",")
-                t = self._label()
-                toks.expect(",")
-                f = self._label()
-                inst = Branch(cond, t, f)
-        elif op == "switch":
-            ty = _parse_type(toks)
-            value = self._value(ty)
-            toks.expect(",")
-            default = self._label()
-            toks.expect("[")
-            sw = Switch(value, default)
-            while not toks.accept("]"):
-                case_ty = _parse_type(toks)
-                const = self._value(case_ty)
-                target = self._label()
-                if not isinstance(const, ConstantInt):
-                    raise ParseError("switch case must be an integer constant", toks.line)
-                sw.add_case(const, target)
-                toks.accept(",")
-            inst = sw
-        elif op == "unreachable":
-            inst = Unreachable()
-        elif op == "icmp":
-            _, pred = toks.next()
-            ty = _parse_type(toks)
-            a = self._value(ty)
-            toks.expect(",")
-            b = self._value(ty)
-            inst = ICmp(_ICMP_PREDS[pred], a, b)
-        elif op == "fcmp":
-            _, pred = toks.next()
-            ty = _parse_type(toks)
-            a = self._value(ty)
-            toks.expect(",")
-            b = self._value(ty)
-            inst = FCmp(_FCMP_PREDS[pred], a, b)
-        elif op == "select":
-            cond = self._typed_value()
-            toks.expect(",")
-            t = self._typed_value()
-            toks.expect(",")
-            f = self._typed_value()
-            inst = Select(cond, t, f)
-        elif op == "alloca":
-            inst = Alloca(_parse_type(toks))
-        elif op == "load":
-            _parse_type(toks)  # result type (redundant)
-            toks.expect(",")
-            inst = Load(self._typed_value())
-        elif op == "store":
-            value = self._typed_value()
-            toks.expect(",")
-            pointer = self._typed_value()
-            inst = Store(value, pointer)
-        elif op == "gep":
-            pointer = self._typed_value()
-            indices = []
-            while toks.accept(","):
-                indices.append(self._typed_value())
-            inst = GetElementPtr(pointer, indices)
-        elif op in ("call", "invoke"):
-            ret_ty = _parse_type(toks)
-            kind, callee_tok = toks.next()
-            if kind == "global":
-                callee = self.module.get_function(callee_tok[1:])
-                if callee is None:
-                    raise ParseError(f"unknown function {callee_tok}", toks.line)
-            elif kind == "local":
-                # Indirect call: the local must resolve to a function pointer.
-                raise ParseError("indirect calls are not supported in text IR", toks.line)
-            else:
-                raise ParseError(f"expected a callee, got {callee_tok!r}", toks.line)
-            toks.expect("(")
-            args = []
-            if not toks.accept(")"):
-                args.append(self._typed_value())
-                while toks.accept(","):
-                    args.append(self._typed_value())
-                toks.expect(")")
-            if op == "call":
-                inst = Call(callee, args)
-            else:
-                toks.expect("to")
-                normal = self._label()
-                toks.expect("unwind")
-                unwind = self._label()
-                inst = Invoke(callee, args, normal, unwind)
-            if inst.type is not ret_ty:
-                raise ParseError(
-                    f"call result type {ret_ty} != callee return {inst.type}", toks.line
-                )
-        elif op == "phi":
-            ty = _parse_type(toks)
-            phi = Phi(ty)
-            while True:
-                toks.expect("[")
-                value = self._value(ty)
-                toks.expect(",")
-                kind, label_tok = toks.next()
-                if kind != "local":
-                    raise ParseError("expected phi incoming label", toks.line)
-                toks.expect("]")
-                phi.add_incoming(value, self._block_ref(label_tok[1:]))
-                if not toks.accept(","):
-                    break
-            inst = phi
-        elif op in _CAST_WORDS:
-            value = self._typed_value()
-            toks.expect("to")
-            inst = Cast(_CAST_WORDS[op], value, _parse_type(toks))
-        elif op in _BINARY_WORDS:
-            ty = _parse_type(toks)
-            a = self._value(ty)
-            toks.expect(",")
-            b = self._value(ty)
-            inst = BinaryOp(_BINARY_WORDS[op], a, b)
-        else:
-            raise ParseError(f"unknown instruction {op!r}", toks.line)
-
-        if result_name is not None:
+    # -- instructions -------------------------------------------------------------
+    def instruction(self, block: BasicBlock) -> None:
+        tok = self.next()
+        name: Optional[str] = None
+        if tok[0] == "%":
+            name = tok[1:]
+            self.expect("=")
+            tok = self.next()
+        handler = _INSTRUCTIONS.get(tok)
+        if handler is None:
+            raise self.error(f"unknown instruction {tok!r}")
+        inst = handler(self, tok)
+        if name is not None:
             if inst.type.is_void:
-                raise ParseError(f"void instruction cannot be named %{result_name}", toks.line)
-            inst.name = result_name
-            self._define(result_name, inst)
+                raise self.error(f"void instruction cannot be named %{name}")
+            inst.name = name
+            self.define(name, inst)
         block.append(inst)
 
-    # -- function -----------------------------------------------------------------
-    def parse_body(self, func: Function) -> None:
-        self.func = func
-        for arg in func.args:
-            self._define(arg.name, arg)
-        toks = self.toks
-        toks.expect("{")
-        current: Optional[BasicBlock] = None
-        while not toks.accept("}"):
-            tok = toks.peek()
-            if tok is None:
-                raise ParseError("unterminated function body", toks.line)
-            kind, value = tok
-            # A label is `<word-or-local> :`
-            nxt = (
-                self.toks.tokens[self.toks.index + 1][1]
-                if self.toks.index + 1 < len(self.toks.tokens)
-                else None
-            )
-            if kind in ("word", "int") and nxt == ":":
-                toks.next()
-                toks.expect(":")
-                current = BasicBlock(value, func)
-                self._define(value, current)
-            else:
-                if current is None:
-                    raise ParseError("instruction outside any block", toks.line)
-                self._parse_instruction(current)
-        self._resolve()
+    def ret(self, op: str) -> Instruction:
+        return Ret(None) if self.accept("void") else Ret(self.typed_value())
 
+    def br(self, op: str) -> Instruction:
+        if self.toks[self.i] == "label":
+            return Branch(self.label())
+        cond = self.typed_value()
+        self.expect(",")
+        t = self.label()
+        self.expect(",")
+        return Branch(cond, t, self.label())
 
-def _parse_params(toks: _Tokens) -> Tuple[List[Type], List[str]]:
-    toks.expect("(")
-    types: List[Type] = []
-    names: List[str] = []
-    if not toks.accept(")"):
+    def switch(self, op: str) -> Instruction:
+        value = self.typed_value()
+        self.expect(",")
+        default = self.label()
+        self.expect("[")
+        sw = Switch(value, default)
+        while not self.accept("]"):
+            const = self.typed_value()
+            target = self.label()
+            if not isinstance(const, ConstantInt):
+                raise self.error("switch case must be an integer constant")
+            sw.add_case(const, target)
+            self.accept(",")
+        return sw
+
+    def cmp(self, op: str) -> Instruction:
+        word = self.next()
+        pred = (_ICMP_PREDS if op == "icmp" else _FCMP_PREDS).get(word)
+        if pred is None:
+            raise self.error(f"unknown {op} predicate {word!r}")
+        a, b = self.operand_pair()
+        return ICmp(pred, a, b) if op == "icmp" else FCmp(pred, a, b)  # type: ignore[arg-type]
+
+    def select(self, op: str) -> Instruction:
+        cond = self.typed_value()
+        self.expect(",")
+        t = self.typed_value()
+        self.expect(",")
+        return Select(cond, t, self.typed_value())
+
+    def load(self, op: str) -> Instruction:
+        self.type()  # result type (redundant)
+        self.expect(",")
+        return Load(self.typed_value())
+
+    def store(self, op: str) -> Instruction:
+        value = self.typed_value()
+        self.expect(",")
+        return Store(value, self.typed_value())
+
+    def gep(self, op: str) -> Instruction:
+        pointer = self.typed_value()
+        indices = []
+        while self.accept(","):
+            indices.append(self.typed_value())
+        return GetElementPtr(pointer, indices)
+
+    def call(self, op: str) -> Instruction:
+        ret_ty = self.type()
+        tok = self.next()
+        kind = _kind(tok)
+        if kind == "local":
+            raise self.error("indirect calls are not supported in text IR")
+        if kind != "global":
+            raise self.error(f"expected a callee, got {tok!r}")
+        callee = self.module.get_function(tok[1:])
+        if callee is None:
+            raise self.error(f"unknown function {tok}")
+        self.expect("(")
+        args = self.items(self.typed_value, ")")
+        inst: Instruction
+        if op == "call":
+            inst = Call(callee, args)
+        else:
+            self.expect("to")
+            normal = self.label()
+            self.expect("unwind")
+            inst = Invoke(callee, args, normal, self.label())
+        if inst.type is not ret_ty:
+            raise self.error(f"call result type {ret_ty} != callee return {inst.type}")
+        return inst
+
+    def phi(self, op: str) -> Instruction:
+        ty = self.type()
+        phi = Phi(ty)
         while True:
-            types.append(_parse_type(toks))
-            kind, value = toks.peek() or ("", "")
-            if kind == "local":
-                toks.next()
-                names.append(value[1:])
+            self.expect("[")
+            value = self.value(ty)
+            self.expect(",")
+            tok = self.next()
+            if tok[0] != "%":
+                raise self.error("expected phi incoming label")
+            self.expect("]")
+            phi.add_incoming(value, self.block_ref(tok[1:]))
+            if not self.accept(","):
+                return phi
+
+    def cast(self, op: str) -> Instruction:
+        value = self.typed_value()
+        self.expect("to")
+        return Cast(_CAST_WORDS[op], value, self.type())
+
+    def binary(self, op: str) -> Instruction:
+        a, b = self.operand_pair()
+        return BinaryOp(_BINARY_WORDS[op], a, b)
+
+    # -- functions and the module -------------------------------------------------
+    def header(self) -> Tuple[Type, str, List[Type], List[str]]:
+        """``<ret> @name(<params>)`` after ``define``/``declare``."""
+        ret = self.type()
+        tok = self.next()
+        if tok[0] != "@":
+            raise self.error(f"expected @name, got {tok!r}")
+        self.expect("(")
+        params = self.items(self.param, ")")
+        names = [name or f"arg{k}" for k, (_, name) in enumerate(params)]
+        return ret, tok[1:], [ty for ty, _ in params], names
+
+    def param(self) -> Tuple[Type, str]:
+        """``<ty> [%name]``; the name is empty when omitted."""
+        ty = self.type()
+        tok = self.toks[self.i]
+        if tok[:1] != "%":
+            return ty, ""
+        self.i += 1
+        return ty, tok[1:]
+
+    def declare_functions(self) -> None:
+        """Create every function named by a header, in text order."""
+        toks = self.toks
+        starts = []
+        for word in ("define", "declare"):
+            index = -1
+            for _ in range(toks.count(word)):
+                index = toks.index(word, index + 1)
+                starts.append(index)
+        defined = set()
+        for start in sorted(starts):
+            if toks[start + 1] == ":":
+                continue  # a block labelled ``define:``
+            self.i = start + 1
+            ret, name, types, _ = self.header()
+            is_def = toks[start] == "define"
+            if self.module.get_function(name) is None:
+                Function(FunctionType(ret, types), name, parent=self.module, internal=is_def)
+            if is_def:
+                if name in defined:
+                    raise self.error(f"redefinition of @{name}", start)
+                defined.add(name)
+
+    def body(self, func: Function) -> None:
+        self.locals, self.placeholders, self.block_placeholders = {}, {}, {}
+        for arg in func.args:
+            self.define(arg.name, arg)
+        self.expect("{")
+        toks = self.toks
+        current: Optional[BasicBlock] = None
+        while not self.accept("}"):
+            tok = toks[self.i]
+            if not tok:
+                raise self.error("unterminated function body")
+            if toks[self.i + 1] == ":" and _kind(tok) in ("word", "int"):
+                self.i += 2
+                current = BasicBlock(tok, func)
+                self.define(tok, current)
+            elif current is None:
+                raise self.error("instruction outside any block")
             else:
-                names.append(f"arg{len(names)}")
-            if not toks.accept(","):
-                break
-        toks.expect(")")
-    return types, names
+                self.instruction(current)
+        self.resolve()
+
+    def parse(self) -> None:
+        bad = {t for t in set(self.toks) if len(t) == 1 and not _SINGLE_CHAR_RE.match(t)}
+        if bad:
+            index = min(self.toks.index(t) for t in bad)
+            raise self.error(f"unexpected character {self.toks[index]!r}", index)
+        self.declare_functions()
+        self.i = 0
+        while self.toks[self.i]:
+            tok = self.next()
+            if tok == "define":
+                _, name, _, names = self.header()
+                func = self.module.get_function(name)
+                assert func is not None  # created by declare_functions
+                for arg, argname in zip(func.args, names):
+                    arg.name = argname
+                self.body(func)
+            elif tok == "declare":
+                self.header()
+            else:
+                raise self.error(f"expected 'define' or 'declare', got {tok!r}")
+
+
+_INSTRUCTIONS: Dict[str, Callable[[_Parser, str], Instruction]] = {
+    **{op: getattr(_Parser, op) for op in ("ret", "br", "switch", "select", "load")},
+    **{op: getattr(_Parser, op) for op in ("store", "gep", "call", "phi")},
+    "icmp": _Parser.cmp,
+    "fcmp": _Parser.cmp,
+    "invoke": _Parser.call,
+    "alloca": lambda parser, op: Alloca(parser.type()),
+    "unreachable": lambda parser, op: Unreachable(),
+    **dict.fromkeys(_CAST_WORDS, _Parser.cast),
+    **dict.fromkeys(_BINARY_WORDS, _Parser.binary),
+}
 
 
 def parse_module(text: str, name: str = "parsed") -> Module:
     """Parse a whole module from its textual form."""
-    toks = _Tokens(text)
     module = Module(name)
-    # First pass over token stream: we parse definitions in order; forward
-    # references to functions are handled by pre-scanning headers.
-    _prescan_headers(text, module)
-    while toks.peek() is not None:
-        kind, value = toks.next()
-        if value == "define":
-            ret = _parse_type(toks)
-            kind, fname = toks.next()
-            if kind != "global":
-                raise ParseError(f"expected @name, got {fname!r}", toks.line)
-            types, names = _parse_params(toks)
-            func = module.get_function(fname[1:])
-            assert func is not None  # created by prescan
-            for arg, argname in zip(func.args, names):
-                arg.name = argname
-            _FunctionParser(module, toks).parse_body(func)
-        elif value == "declare":
-            ret = _parse_type(toks)
-            toks.next()
-            _parse_params(toks)
-        else:
-            raise ParseError(f"expected 'define' or 'declare', got {value!r}", toks.line)
+    parser = _Parser(text, module)
+    # Parsing allocates the whole module and frees almost nothing, so cyclic
+    # collections during it only re-walk live objects.
+    collect = gc.isenabled()
+    gc.disable()
+    try:
+        parser.parse()
+    except (TypeError, ValueError) as exc:  # rejected by an IR constructor
+        raise parser.error(str(exc)) from exc
+    finally:
+        if collect:
+            gc.enable()
     return module
-
-
-_HEADER_RE = re.compile(
-    r"^\s*(define|declare)\s+(?P<rest>.*?@(?P<name>[A-Za-z0-9_.\-$]+)\s*\(.*)$",
-    re.MULTILINE,
-)
-
-
-def _prescan_headers(text: str, module: Module) -> None:
-    """Create Function shells for all headers so calls can forward-reference."""
-    for match in _HEADER_RE.finditer(text):
-        header = match.group(0)
-        toks = _Tokens(header)
-        toks.next()  # define/declare
-        is_def = match.group(1) == "define"
-        ret = _parse_type(toks)
-        _, fname = toks.next()
-        types, _ = _parse_params(toks)
-        name = fname[1:]
-        if module.get_function(name) is None:
-            Function(FunctionType(ret, types), name, parent=module, internal=is_def)
 
 
 def parse_function(text: str, module: Optional[Module] = None) -> Function:

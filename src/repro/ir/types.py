@@ -128,6 +128,11 @@ class LabelType(Type):
         return cls._instance
 
 
+#: Widest integer type, as in LLVM (``IntegerType::MAX_INT_BITS``).  The cap
+#: keeps a typo such as ``i6400000000000`` from allocating a huge mask.
+MAX_INT_BITS = 1 << 23
+
+
 class IntType(Type):
     """Arbitrary-width integer type ``iN`` (we use 1/8/16/32/64 in practice)."""
 
@@ -139,6 +144,8 @@ class IntType(Type):
         if inst is None:
             if bits <= 0:
                 raise ValueError(f"integer width must be positive, got {bits}")
+            if bits > MAX_INT_BITS:
+                raise ValueError(f"integer width must be at most {MAX_INT_BITS}, got {bits}")
             inst = object.__new__(cls)
             inst.bits = bits
             inst._finish(f"i{bits}")

@@ -104,6 +104,13 @@ class TestInvalidTypes:
         with pytest.raises(ValueError):
             IntType(0)
 
+    def test_int_width_cap(self):
+        from repro.ir.types import MAX_INT_BITS
+
+        assert IntType(MAX_INT_BITS).bits == MAX_INT_BITS
+        with pytest.raises(ValueError, match="at most"):
+            IntType(MAX_INT_BITS + 1)
+
     def test_bad_float_width(self):
         from repro.ir import FloatType
 

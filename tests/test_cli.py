@@ -303,3 +303,53 @@ class TestObservability:
         out = tmp_path / "out.ll"
         assert main(["merge", str(module_file), "-s", "f3m", "-o", str(out)]) == 0
         assert not (tmp_path / "run-manifest.json").exists()
+
+
+# Bad input: `PATH:LINE: message` (parse) or `PATH: diagnostic` (verify) on
+# stderr, exit 2, never a traceback.
+_UNPARSEABLE = "define i32 @driver(i32 %a) {\nentry:\n  %x = icmp foo i32 %a, %a\n  ret i32 %a\n}\n"
+_UNVERIFIABLE = "define i32 @driver(i32 %a) {\nentry:\n  %x = add i32 %a, 1\n}\n"
+_BAD_INPUT_COMMANDS = {
+    "stats": lambda path: ["stats", path],
+    "merge": lambda path: ["merge", path, "-s", "f3m", "-o", path + ".out"],
+    "lint": lambda path: ["lint", path],
+    "run": lambda path: ["run", path, "--entry", "driver", "-a", "1"],
+    "fuzz-check": lambda path: ["fuzz", "--check", path, "--pair", "driver,driver"],
+}
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("command", sorted(_BAD_INPUT_COMMANDS))
+    def test_parse_error_prints_path_line_and_exits_2(self, command, tmp_path, capsys):
+        path = tmp_path / "bad.ll"
+        path.write_text(_UNPARSEABLE)
+        assert main(_BAD_INPUT_COMMANDS[command](str(path))) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"{path}:3: unknown icmp predicate 'foo'\n"
+        assert captured.out == ""
+        assert not (tmp_path / "bad.ll.out").exists()
+
+    @pytest.mark.parametrize("command", sorted(set(_BAD_INPUT_COMMANDS) - {"lint"}))
+    def test_verification_error_prints_path_and_exits_2(self, command, tmp_path, capsys):
+        path = tmp_path / "bad.ll"
+        path.write_text(_UNVERIFIABLE)
+        assert main(_BAD_INPUT_COMMANDS[command](str(path))) == 2
+        assert capsys.readouterr().err == (
+            f"{path}: error[verifier] @driver:%entry: "
+            "block %entry does not end in a terminator\n"
+        )
+
+    def test_lint_reports_on_unverifiable_modules(self, tmp_path, capsys):
+        # The linter judges modules the verifier rejects, so it parses only.
+        path = tmp_path / "bad.ll"
+        path.write_text(_UNVERIFIABLE)
+        assert main(["lint", str(path)]) == 0
+        assert str(path) not in capsys.readouterr().err
+
+    def test_truncated_module(self, module_file, tmp_path, capsys):
+        text = module_file.read_text()
+        path = tmp_path / "cut.ll"
+        path.write_text(text[: len(text) // 2])
+        assert main(["merge", str(path), "-o", str(tmp_path / "out.ll")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"{path}:") and "Traceback" not in err

@@ -147,6 +147,17 @@ class TestMarkdownLint:
         problems = lint.run_checks()
         assert any("PR <n>" in p for p in problems)
 
+    def test_lint_accepts_found_and_mended_notes(self, tmp_path, monkeypatch):
+        lint = self._load()
+        (tmp_path / "CHANGES.md").write_text(
+            "PR 1: fine\nFOUND: a.py: breaks\nMENDED: b.py: fixed\nPR 2: next\n"
+            "- FOUND: bulleted drift\n"
+        )
+        (tmp_path / "ROADMAP.md").write_text("## Open items\n\n## Recent\n")
+        monkeypatch.setattr(lint, "REPO_ROOT", str(tmp_path))
+        problems = lint.run_checks()
+        assert len(problems) == 1 and "CHANGES.md:5:" in problems[0]
+
     def test_lint_catches_dead_links(self, tmp_path, monkeypatch):
         lint = self._load()
         (tmp_path / "CHANGES.md").write_text("PR 1: fine\n")

@@ -5,9 +5,11 @@ Three checks, all cheap enough for tier 1 (``tests/test_docs.py`` runs
 ``run_checks`` directly):
 
 1. **CHANGES.md format** — one line per PR, each matching ``PR <n>: ...``
-   with strictly increasing numbers starting at 1.  The file is the
-   inter-session ledger, so a stray bullet or renumbering breaks the
-   next session's ability to diff it against git history.
+   with strictly increasing numbers starting at 1, optionally followed by
+   ``FOUND: ...`` lines (a defect seen and not yet fixed) or ``MENDED:
+   ...`` lines (one later fixed).  The file is the ledger of the project's
+   history, so a stray bullet or renumbering breaks diffing it against
+   git history.
 2. **ROADMAP.md format** — the sections the builder and the
    feature-requester both key off (``## Open items``, ``## Recent``)
    exist exactly once and in that order, and every open item is a
@@ -30,6 +32,7 @@ import sys
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 _CHANGES_RE = re.compile(r"^PR (\d+): \S")
+_NOTE_RE = re.compile(r"^(FOUND|MENDED): \S")
 _OPEN_ITEM_RE = re.compile(r"^(\d+)\. \*\*")
 # [text](target) — excluding images and pure in-page anchors.
 _LINK_RE = re.compile(r"(?<!\!)\[[^\]]+\]\(([^)#\s]+)[^)]*\)")
@@ -56,7 +59,7 @@ def check_changes(problems: list) -> None:
         lines = [ln.rstrip("\n") for ln in fh]
     expected = 1
     for num, line in enumerate(lines, start=1):
-        if not line.strip():
+        if not line.strip() or _NOTE_RE.match(line):
             continue
         match = _CHANGES_RE.match(line)
         if not match:
